@@ -8,13 +8,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 
 #include "cca/collective/schedule.hpp"
+#include "cca/fiber/park.hpp"
 #include "cca/rt/archive.hpp"
 #include "cca/rt/buffer.hpp"
 #include "cca/rt/comm.hpp"
@@ -26,9 +26,9 @@ namespace cca::collective {
 /// component teams live in one process (threads), so the channel is a dense
 /// srcRanks × dstRanks × 2 array of independent FIFO slots — one per
 /// (direction, source rank, destination rank) pair, each with its own mutex
-/// and condition variable.  A slot has exactly one producer and one consumer
-/// rank, so a push wakes its consumer with a single notify_one and never
-/// contends with traffic between any other rank pair (the previous design
+/// and fiber::EventCount.  A slot has exactly one producer and one consumer
+/// rank, so a push wakes at most its one consumer and never contends with
+/// traffic between any other rank pair (the previous design
 /// serialized every pair through one global lock, one std::map lookup, and a
 /// notify_all broadcast).  On a distributed machine the identical call
 /// pattern would map onto inter-communicator sends.
@@ -56,7 +56,8 @@ class CouplingChannel {
   /// Forward direction: source rank → destination rank.
   void put(int srcRank, int dstRank, rt::Buffer payload) {
     testing::schedulePoint(testing::SchedOp::ChannelPut, dstRank, srcRank);
-    push(slot(0, srcRank, dstRank), std::move(payload));
+    push(slot(0, srcRank, dstRank), std::move(payload),
+         testing::SchedPoint{testing::SchedOp::ChannelPut, dstRank, srcRank});
   }
   [[nodiscard]] rt::Buffer take(int dstRank, int srcRank) {
     return pop(slot(0, srcRank, dstRank), 0, srcRank, dstRank);
@@ -73,14 +74,7 @@ class CouplingChannel {
   /// anyway, and pack() never takes another lock or parks.
   template <class PackFn>
   void putPacked(int srcRank, int dstRank, PackFn&& pack) {
-    if (testing::controllerInstalled()) {
-      // Schedule-explored runs keep the unfused sequence so interleavings
-      // (and the ChannelPut preemption point) match the plain put() path.
-      rt::Buffer b;
-      pack(b);
-      put(srcRank, dstRank, std::move(b));
-      return;
-    }
+    testing::schedulePoint(testing::SchedOp::ChannelPut, dstRank, srcRank);
     Slot& sl = slot(0, srcRank, dstRank);
     {
       std::lock_guard lk(sl.mx);
@@ -88,9 +82,8 @@ class CouplingChannel {
       pack(sl.spare);
       sl.q.push_back(std::move(sl.spare));
     }
-    if (sl.waiting.load(std::memory_order_seq_cst) &&
-        sl.waiting.exchange(false, std::memory_order_seq_cst))
-      sl.cv.notify_one();
+    sl.bell.notify(
+        testing::SchedPoint{testing::SchedOp::ChannelPut, dstRank, srcRank});
   }
 
   /// Fused consumer mirror of putPacked(): once the slot is non-empty,
@@ -100,24 +93,20 @@ class CouplingChannel {
   /// of the channel.  Timeout and blocking semantics are exactly take()'s.
   template <class UnpackFn>
   void takeUnpacked(int dstRank, int srcRank, UnpackFn&& unpack) {
-    Slot& sl = slot(0, srcRank, dstRank);
-    if (testing::onControlledThread() != nullptr) {
-      rt::Buffer b = pop(sl, 0, srcRank, dstRank);
-      unpack(b);
-      return;
-    }
-    withLockedNonEmpty(sl, 0, srcRank, dstRank, [&](Slot& s) {
-      rt::Buffer b = takeFront(s);
-      unpack(b);
-      s.spare = std::move(b);
-    });
+    withLockedNonEmpty(slot(0, srcRank, dstRank), 0, srcRank, dstRank,
+                       [&](Slot& s) {
+                         rt::Buffer b = takeFront(s);
+                         unpack(b);
+                         s.spare = std::move(b);
+                       });
   }
 
   /// Reverse direction: destination rank → source rank (pull requests,
   /// acknowledgements, steering messages flowing upstream).
   void putBack(int dstRank, int srcRank, rt::Buffer payload) {
     testing::schedulePoint(testing::SchedOp::ChannelPut, srcRank, dstRank);
-    push(slot(1, srcRank, dstRank), std::move(payload));
+    push(slot(1, srcRank, dstRank), std::move(payload),
+         testing::SchedPoint{testing::SchedOp::ChannelPut, srcRank, dstRank});
   }
   [[nodiscard]] rt::Buffer takeBack(int srcRank, int dstRank) {
     return pop(slot(1, srcRank, dstRank), 1, srcRank, dstRank);
@@ -126,7 +115,8 @@ class CouplingChannel {
  private:
   struct Slot {
     std::mutex mx;
-    std::condition_variable cv;
+    // The slot's one consumer parks here.
+    fiber::EventCount bell{fiber::EventCount::Spin::Yes};
     // FIFO as a vector with a head cursor (live region [head, q.size())):
     // steady-state put/take reuses one warm allocation instead of churning
     // deque chunks; the consumed prefix is compacted once it dominates.
@@ -136,13 +126,6 @@ class CouplingChannel {
     // payload-sized heap block per forward slot so repeated exchanges
     // don't churn the allocator.
     rt::Buffer spare;
-    // True while the consumer is parked on cv.  Lets push() skip the
-    // notify call entirely when nobody is waiting (the common case in a
-    // busy mesh).  Always written under mx, so the mutex orders it against
-    // the queue: a producer that sees it cleared has either claimed the
-    // wake itself or is running after a push that did — never before the
-    // consumer parked.
-    std::atomic<bool> waiting{false};
   };
 
   static bool slotEmpty(const Slot& sl) noexcept {  // caller holds sl.mx
@@ -178,24 +161,14 @@ class CouplingChannel {
                  : rt::WireContext{"coupling", dstRank, srcRank, dir});
   }
 
-  static void push(Slot& sl, rt::Buffer&& b) {  // by-ref: a Buffer is a
-    // 128-byte object (inline payload storage), so every by-value hop is a
-    // real copy on the per-message path
+  // By-ref payload: a Buffer is a 128-byte object (inline payload storage),
+  // so every by-value hop is a real copy on the per-message path.
+  static void push(Slot& sl, rt::Buffer&& b, const testing::SchedPoint& p) {
     {
       std::lock_guard lk(sl.mx);
       sl.q.push_back(std::move(b));
     }
-    // Claim-based doorbell (cf. Mailbox::ringDoorbell): notify only when
-    // the consumer is actually parked, and clear the flag so a burst of
-    // puts pays one notify.  Safe because the consumer re-arms the flag
-    // under sl.mx before every park, and a cleared flag implies a push
-    // already happened — whose queue entry the re-check loop will see.
-    if (sl.waiting.load(std::memory_order_seq_cst) &&
-        sl.waiting.exchange(false, std::memory_order_seq_cst))
-      sl.cv.notify_one();  // at most one consumer per slot
-    // The consumer may be a fiber parked on a schedule controller rather
-    // than on sl.cv; cascade the wakeup.  No-op when none is installed.
-    testing::signalWakeup();
+    sl.bell.notify(p);
   }
 
   static rt::Buffer takeFront(Slot& sl) {  // caller holds sl.mx
@@ -211,77 +184,32 @@ class CouplingChannel {
     return b;
   }
 
-  /// Uncontrolled-consumer wait: runs `fn(sl)` under sl.mx as soon as the
-  /// slot is non-empty.  Fast path + yield-spin: the matching put is
-  /// usually already there (or one scheduler rotation away), so check
-  /// under the slot lock a few times before paying the clock read and the
-  /// condvar park.  Honors the channel timeout like take().
+  /// Consumer wait: runs `fn(sl)` under sl.mx as soon as the slot is
+  /// non-empty, parking on the slot's event count meanwhile.  Honors the
+  /// channel timeout (virtual time under a schedule controller).
   template <class Fn>
-  auto withLockedNonEmpty(Slot& sl, int dir, int srcRank, int dstRank,
+  void withLockedNonEmpty(Slot& sl, int dir, int srcRank, int dstRank,
                           Fn&& fn) {
     const auto ns = timeoutNs_.load(std::memory_order_relaxed);
-    for (int i = 0;; ++i) {
-      {
-        std::lock_guard lk(sl.mx);
-        if (!slotEmpty(sl)) return fn(sl);
-      }
-      if (i >= kPopSpinYields) break;
-      std::this_thread::yield();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::unique_lock lk(sl.mx);
-    while (slotEmpty(sl)) {
-      sl.waiting.store(true, std::memory_order_seq_cst);
-      if (ns > 0) {
-        if (sl.cv.wait_until(lk, t0 + std::chrono::nanoseconds(ns)) ==
-                std::cv_status::timeout &&
-            slotEmpty(sl)) {
-          sl.waiting.store(false, std::memory_order_relaxed);
-          throw starvedError(dir, srcRank, dstRank,
-                             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count());
-        }
-      } else {
-        sl.cv.wait(lk);
-      }
-    }
-    sl.waiting.store(false, std::memory_order_relaxed);
-    return fn(sl);
+    const bool took = sl.bell.await(
+        testing::SchedPoint{testing::SchedOp::ChannelTake,
+                            dir == 0 ? srcRank : dstRank, dir},
+        [&] {
+          std::lock_guard lk(sl.mx);
+          if (slotEmpty(sl)) return false;
+          fn(sl);
+          return true;
+        },
+        ns > 0 ? ns : -1);
+    if (!took) throw starvedError(dir, srcRank, dstRank, ns);
   }
 
   rt::Buffer pop(Slot& sl, int dir, int srcRank, int dstRank) {
-    const auto ns = timeoutNs_.load(std::memory_order_relaxed);
-    if (auto* ctl = testing::onControlledThread()) {
-      // Schedule-explored run: never hold the slot mutex while parked (the
-      // controller must be able to run the producer), and burn virtual time
-      // on bounded waits so timeout tests cannot flake under host load.
-      std::int64_t leftNs = ns;
-      for (;;) {
-        {
-          std::lock_guard lk(sl.mx);
-          if (!slotEmpty(sl)) return takeFront(sl);
-        }
-        if (ns > 0 && leftNs <= 0) throw starvedError(dir, srcRank, dstRank, ns - leftNs);
-        const std::int64_t t0 = ctl->nowNs();
-        ctl->wait(
-            testing::SchedPoint{testing::SchedOp::ChannelTake,
-                                dir == 0 ? srcRank : dstRank, dir},
-            [&sl] {
-              std::lock_guard lk(sl.mx);
-              return !slotEmpty(sl);
-            },
-            ns > 0 ? leftNs : -1);
-        if (ns > 0) leftNs -= ctl->nowNs() - t0;
-      }
-    }
-    return withLockedNonEmpty(sl, dir, srcRank, dstRank,
-                              [](Slot& s) { return takeFront(s); });
+    rt::Buffer b;
+    withLockedNonEmpty(sl, dir, srcRank, dstRank,
+                       [&b](Slot& s) { b = takeFront(s); });
+    return b;
   }
-
-  // Yield rounds a consumer burns before parking (see rt's
-  // kRetrieveSpinYields for the rationale and tuning notes).
-  static constexpr int kPopSpinYields = 32;
 
   int srcRanks_;
   int dstRanks_;

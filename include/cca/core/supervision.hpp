@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,6 +43,7 @@
 #include "cca/core/events.hpp"
 #include "cca/core/port.hpp"
 #include "cca/core/services.hpp"
+#include "cca/fiber/park.hpp"
 #include "cca/sidl/exceptions.hpp"
 #include "cca/sidl/remote.hpp"
 #include "cca/testing/hooks.hpp"
@@ -155,9 +155,8 @@ enum class DrainTag : int {
 /// declines — while calls already past the gate finish and are awaited
 /// with awaitIdle().  An entry is counted under the same lock hold() takes,
 /// so it either lands before the hold (awaitIdle waits for it) or is
-/// refused.  Waits park on the schedule controller when the calling thread
-/// is controlled (virtual time) and on a condition variable otherwise.
-/// hold/release are idempotent.
+/// refused.  Both waits park on one fiber::EventCount; bounded ones burn
+/// virtual time under a schedule controller.  hold/release are idempotent.
 class DrainGate {
  public:
   void hold();
@@ -181,11 +180,8 @@ class DrainGate {
   [[nodiscard]] bool awaitIdle(std::chrono::nanoseconds timeout, DrainTag tag);
 
  private:
-  // held_/inFlight_ are atomics because schedule-controller predicates read
-  // them from other threads; every write happens under mx_ so condition
-  // variable waiters cannot miss a wakeup.
-  std::mutex mx_;
-  std::condition_variable cv_;
+  std::mutex mx_;  // orders hold() against tryEnter()'s count
+  fiber::EventCount bell_;  // rung by release() and exit()
   std::atomic<bool> held_{false};
   std::atomic<int> inFlight_{0};
 };

@@ -3,11 +3,12 @@
 //
 // runFibers(count, body) multiplexes `count` stackful fibers onto a small
 // pool of worker OS threads.  The scheduler installs itself as the process
-// testing::ScheduleController, so every blocking edge the PR 5 explorer
-// already routes through the hook seam — mailbox-lane waits, barrier and
-// collective waits, CouplingChannel put/pop, SupervisedChannel gates and
-// backoff sleeps, Comm::quiesce epochs — parks the *fiber* instead of an OS
-// thread.  schedulePoint() doubles as the cooperative yield.  That is how a
+// testing::ScheduleController, so every blocking edge — each one parks on a
+// fiber::EventCount (park.hpp): mailbox receives, the barrier,
+// CouplingChannel takes, drain gates, the PortServer queue and dispatch
+// waits, PortClient replies — plus backoff sleeps and Comm::quiesce epochs
+// parks the *fiber* instead of an OS thread.  schedulePoint() doubles as
+// the cooperative yield.  That is how a
 // 1024-rank team runs green on a single core: the kernel never sees more
 // than `workers` runnable threads.
 //
@@ -25,13 +26,8 @@
 // testing::signalWakeup(); an idle worker also rescans parked fibers every
 // few milliseconds as a belt-and-braces backstop.
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "cca/testing/hooks.hpp"
 
@@ -64,52 +60,5 @@ void runFibers(int count, const std::function<void(int)>& body,
 /// Default usable stack size runFibers uses when FiberOptions::stackBytes
 /// is 0 (exposed for tests/diagnostics).
 [[nodiscard]] std::size_t defaultStackBytes() noexcept;
-
-/// One-shot park/unpark flag usable from fibers, controlled threads and
-/// plain threads alike: wait() parks through the ScheduleController seam
-/// when the caller is controlled, else blocks on a condition variable;
-/// set() wakes both kinds of waiter.
-class Event {
- public:
-  void set() {
-    {
-      std::lock_guard lk(mx_);
-      flag_.store(true, std::memory_order_release);
-    }
-    cv_.notify_all();
-    testing::signalWakeup();
-  }
-
-  void reset() {
-    std::lock_guard lk(mx_);
-    flag_.store(false, std::memory_order_release);
-  }
-
-  [[nodiscard]] bool isSet() const noexcept {
-    return flag_.load(std::memory_order_acquire);
-  }
-
-  /// Wait until set; false exactly when `timeoutNs >= 0` elapsed first.
-  bool wait(std::int64_t timeoutNs = -1) {
-    if (isSet()) return true;
-    if (testing::ScheduleController* c = testing::onControlledThread())
-      return c->wait(
-          testing::SchedPoint{testing::SchedOp::User, -1, 0},
-          [this] { return flag_.load(std::memory_order_acquire); }, timeoutNs);
-    std::unique_lock lk(mx_);
-    if (timeoutNs < 0) {
-      cv_.wait(lk, [this] { return flag_.load(std::memory_order_acquire); });
-      return true;
-    }
-    return cv_.wait_for(lk, std::chrono::nanoseconds(timeoutNs), [this] {
-      return flag_.load(std::memory_order_acquire);
-    });
-  }
-
- private:
-  std::atomic<bool> flag_{false};
-  std::mutex mx_;
-  std::condition_variable cv_;
-};
 
 }  // namespace cca::fiber

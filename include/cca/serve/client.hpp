@@ -16,7 +16,6 @@
 // core::PortError{RetriesExhausted}; a server shutting down throws
 // core::PortError{Unavailable}.
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "cca/core/supervision.hpp"
+#include "cca/fiber/park.hpp"
 #include "cca/rt/wire.hpp"
 #include "cca/serve/port_server.hpp"
 #include "cca/sidl/remote.hpp"
@@ -84,7 +84,7 @@ class PortClient {
   std::thread reader_;
 
   mutable std::mutex mx_;
-  std::condition_variable cv_;
+  fiber::EventCount replies_;  // rung by the reader per reply and on failure
   std::map<int, Pending> pending_;
   int nextCallId_ = 1;
   bool broken_ = false;

@@ -42,7 +42,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -53,6 +52,7 @@
 #include <vector>
 
 #include "cca/core/supervision.hpp"
+#include "cca/fiber/park.hpp"
 #include "cca/obs/health.hpp"
 #include "cca/obs/monitor.hpp"
 #include "cca/rt/wire.hpp"
@@ -254,9 +254,8 @@ class PortServer {
   core::DrainGate pauseGate_;  // held while paused
 
   // Dispatches that found every live replica drained park here until one
-  // undrains (notified on undrain and stop).
-  std::mutex drainMx_;
-  std::condition_variable drainCv_;
+  // undrains (rung on undrain and stop).
+  fiber::EventCount dispatchable_;
 
   // Socket front door state.
   std::mutex netMx_;  // guards listener_/conns_/readers_ mutation
@@ -266,7 +265,7 @@ class PortServer {
   std::vector<std::thread> readers_;
   std::vector<std::thread> workers_;
   std::mutex queueMx_;
-  std::condition_variable queueCv_;
+  fiber::EventCount queued_;  // rung per enqueued call and on stop
   std::deque<WorkItem> queue_;
 };
 

@@ -4,15 +4,20 @@
 //
 // The runtime (rt::Comm's mailbox lanes, collectives, barrier and quiesce;
 // collective::CouplingChannel; core::CircuitBreaker and core::DrainGate;
-// serve::PortServer) calls the inline helpers below at every point where
-// thread interleaving matters:
+// serve::PortServer and PortClient) calls the inline helpers below at every
+// point where thread interleaving matters:
 //
 //   * schedulePoint()  — a preemption point: under a controller the calling
 //                        thread parks until the controller picks it to run.
-//   * controlledWait() — replaces a condition-variable wait: the thread
-//                        parks until its readiness predicate turns true (the
-//                        controller re-evaluates it at every scheduling
-//                        decision) or its *virtual* deadline passes.
+//   * blocking waits   — every one goes through fiber::EventCount
+//                        (include/cca/fiber/park.hpp), the only caller of
+//                        ScheduleController::wait: a controlled waiter arms
+//                        the event count, then parks until its *wake token*
+//                        moves (an armed notify) or its *virtual* deadline
+//                        passes.  The caller's own readiness check runs on
+//                        the waiter's thread after each wake, so the
+//                        explorer drives the same wakeup protocol that
+//                        production threads run.
 //   * sleepFor()/nowNs() — virtual time: under a controller, sleeps and
 //                        timeouts consume simulated nanoseconds that advance
 //                        only when no controlled thread can run, so a test
@@ -88,8 +93,9 @@ struct AbortRun {};
 /// The controller interface the explorer implements.  All methods are called
 /// from registered (controlled) threads except the predicate evaluations,
 /// which the controller may perform from whichever controlled thread is
-/// making a scheduling decision — predicates must therefore only read
-/// atomics or take short leaf locks.
+/// making a scheduling decision, while holding its own lock.  The runtime's
+/// only predicate is fiber::EventCount's wake-token check, a single atomic
+/// load; a predicate must never take a runtime lock or run protocol code.
 class ScheduleController {
  public:
   virtual ~ScheduleController() = default;
@@ -119,9 +125,9 @@ class ScheduleController {
   /// the controller aborts the run so parked peers unwind.
   virtual void noteFailure(std::exception_ptr /*ep*/) {}
 
-  /// A wakeup hint from *any* thread, controlled or not: some state a parked
-  /// actor's readiness predicate reads may have changed (a mailbox deliver,
-  /// a barrier generation bump, a drain-gate release...).  Must be cheap,
+  /// A wakeup hint from *any* thread, controlled or not: some parked actor's
+  /// readiness predicate may have turned true (fiber::EventCount sends it
+  /// after moving its wake token for an armed waiter).  Must be cheap,
   /// lock-light and safe to call while holding runtime leaf locks.  The
   /// fiber scheduler uses it to rescan parked fibers promptly instead of
   /// waiting for its idle poll; the explorer re-evaluates predicates at
@@ -185,7 +191,8 @@ inline void schedulePoint(SchedOp op, int peer = -1, int tag = 0) {
 }
 
 /// Cross-thread wakeup hint: call after changing state that a parked actor's
-/// readiness predicate might read (and after the corresponding cv notify).
+/// readiness predicate might read (fiber::EventCount::notify does, on its
+/// armed path).
 /// Deliberately NOT gated on tl_registered — the whole point is that
 /// *uncontrolled* threads (socket readers, a test's main thread) can nudge a
 /// controller whose parked actors they just made runnable.

@@ -124,24 +124,13 @@ void DrainGate::release() {
     std::lock_guard lk(mx_);
     held_.store(false, std::memory_order_release);
   }
-  cv_.notify_all();
-  testing::signalWakeup();  // parked entrants may be fibers on a controller
+  bell_.notify(testing::SchedPoint{testing::SchedOp::DrainGate, -1, -1});
 }
 
 void DrainGate::enter(DrainTag tag) {
-  if (testing::ScheduleController* c = testing::onControlledThread()) {
-    // The controller predicate is advisory (another hold() may land between
-    // it turning true and this thread running again), so the entry is only
-    // counted once tryEnter() re-checks held_ under mx_.
-    while (!tryEnter())
-      c->wait(testing::SchedPoint{testing::SchedOp::DrainGate, -1,
+  bell_.await(testing::SchedPoint{testing::SchedOp::DrainGate, -1,
                                   static_cast<int>(tag)},
-              [this] { return !held(); }, -1);
-    return;
-  }
-  std::unique_lock lk(mx_);
-  cv_.wait(lk, [this] { return !held(); });
-  inFlight_.fetch_add(1, std::memory_order_acq_rel);
+              [this] { return tryEnter(); });
 }
 
 bool DrainGate::tryEnter() {
@@ -152,22 +141,16 @@ bool DrainGate::tryEnter() {
 }
 
 void DrainGate::exit() noexcept {
-  {
-    std::lock_guard lk(mx_);
-    inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  cv_.notify_all();
-  testing::signalWakeup();  // an idle-waiter may be a parked fiber
+  inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+  bell_.notify(testing::SchedPoint{testing::SchedOp::DrainGate, -1, -1});
 }
 
 bool DrainGate::awaitIdle(std::chrono::nanoseconds timeout, DrainTag tag) {
-  auto idle = [this] { return inFlight() == 0; };
-  if (testing::ScheduleController* c = testing::onControlledThread())
-    return c->wait(testing::SchedPoint{testing::SchedOp::DrainGate, -1,
-                                       static_cast<int>(tag)},
-                   idle, std::max<std::int64_t>(timeout.count(), 0));
-  std::unique_lock lk(mx_);
-  return cv_.wait_for(lk, timeout, idle);
+  return bell_.await(
+      testing::SchedPoint{testing::SchedOp::DrainGate, -1,
+                          static_cast<int>(tag)},
+      [this] { return inFlight() == 0; },
+      std::max<std::int64_t>(timeout.count(), 0));
 }
 
 // ---------------------------------------------------------------------------

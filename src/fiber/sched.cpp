@@ -1,9 +1,13 @@
 #include "cca/fiber/sched.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>

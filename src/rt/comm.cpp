@@ -7,14 +7,17 @@
 //    rank) guarded by its own mutex, so concurrent senders to the same rank
 //    never contend with each other, and a receiver matching on a specific
 //    source touches exactly one lane instead of scanning a global deque.
-//  * Wakeups use a per-mailbox sequence counter and notify_one: there is at
-//    most one receiver (the owning rank), so the old notify_all broadcast —
-//    a thundering herd once several handles waited — is never needed.
+//  * Every blocking edge parks on a fiber::EventCount (park.hpp), the one
+//    parking primitive shared by threads, fibers and the schedule
+//    explorer: the mailbox receive (one doorbell per rank), the barrier
+//    (one per communicator) and the team worker pool (one per worker).  A
+//    deliver into a mailbox whose owner is running costs one atomic
+//    increment and one load; only an armed receiver is woken.
 //  * Wildcard (kAnySource) matching scans lanes starting from a rotating
 //    cursor so no sender is starved; within a lane, front-to-back scanning
 //    preserves MPI's non-overtaking rule per (source, tag).
 //  * The barrier is sense-reversing over two atomics (arrival count +
-//    generation) using C++20 atomic wait/notify — no mutex, no condvar.
+//    generation); waiters park on the barrier's event count.
 //  * The per-rank collective tag sequence lives here in CommState, not in
 //    the Comm handle, so copies of a handle draw from one shared sequence
 //    and cannot desynchronize the communicator's tag stream.
@@ -22,23 +25,22 @@
 // Fault model (DESIGN.md "Fault model"): an optional FaultPlan installed at
 // run() time injects message faults at the delivery choke point and rank
 // kills at operation entry.  Failure and shutdown are *sticky* flags on the
-// CommState; marking either wakes every parked receiver (a mailbox poke)
-// and every barrier waiter (a large epoch bump on the generation word,
-// which waiters — who only compare for equality — interpret as "wake and
-// re-check").  A blocked operation therefore never outlives the failure
-// that would starve it: it resurfaces as CommError{RankFailed|Shutdown}.
+// CommState; marking either rings every mailbox doorbell and the barrier's
+// event count, and every waiter's readiness check reads the flags.  A
+// blocked operation therefore never outlives the failure that would starve
+// it: it resurfaces as CommError{RankFailed|Shutdown}.
 
 #include "cca/rt/comm.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <tuple>
 
+#include "cca/fiber/park.hpp"
 #include "cca/fiber/sched.hpp"
 #include "cca/rt/fault.hpp"
 #include "cca/rt/wire.hpp"
@@ -52,25 +54,11 @@ namespace {
 // user tags are required to be non-negative so the two can never collide.
 constexpr int kCollTagBase = -1000;
 
-// Added to the barrier generation word to wake waiters on failure/shutdown.
-// Far above any reachable generation count, so a poisoned generation can
-// never collide with a normal +1 advance.
-constexpr std::uint64_t kBarrierPoison = std::uint64_t{1} << 32;
-
 // Default for RunOptions::failureGrace — how long an *unbounded* receive
 // keeps waiting once some rank has failed: the message may still arrive from
 // a live peer, but a transitive stall (the sender was itself blocked on the
 // dead rank) must surface as a typed timeout instead of a hang.
 constexpr std::chrono::nanoseconds kPostFailureGrace = std::chrono::seconds{1};
-
-// How many sched_yield rounds a blocking retrieve burns before parking on
-// the condvar.  On an oversubscribed host the matching send is usually one
-// scheduler rotation away, so a short yield-spin converts the common wait
-// from a futex park/wake pair (two syscalls plus a wake latency) into a
-// couple of voluntary context switches.  Kept small: a rank that is
-// genuinely early (e.g. a fan-in root waiting for the last peer) must
-// surrender the CPU quickly.
-constexpr int kRetrieveSpinYields = 32;
 
 struct Envelope {
   int source;
@@ -101,18 +89,20 @@ long long elapsedMs(std::chrono::steady_clock::time_point t0) {
 // One mailbox per rank, sharded into one lane per sending rank.
 class Mailbox {
  public:
-  explicit Mailbox(int senders)
-      : nLanes_(senders), lanes_(std::make_unique<Lane[]>(
-                              static_cast<std::size_t>(senders))) {}
+  Mailbox(int owner, int senders)
+      : owner_(owner),
+        nLanes_(senders),
+        lanes_(std::make_unique<Lane[]>(static_cast<std::size_t>(senders))) {}
 
   void deliver(Envelope e) {
     Lane& ln = lanes_[static_cast<std::size_t>(e.source)];
+    const int tag = e.tag;
     {
       std::lock_guard lk(ln.mx);
       ln.q.push_back(std::move(e));
       ln.n.fetch_add(1, std::memory_order_release);
     }
-    ringDoorbell();
+    ring(tag);
   }
 
   // Batched deliver: the whole run of envelopes (one sender, send order)
@@ -121,13 +111,14 @@ class Mailbox {
   void deliverMany(int source, std::vector<Envelope>&& batch) {
     if (batch.empty()) return;
     Lane& ln = lanes_[static_cast<std::size_t>(source)];
+    const int tag = batch.front().tag;
     {
       std::lock_guard lk(ln.mx);
       for (auto& e : batch) ln.q.push_back(std::move(e));
       ln.n.fetch_add(static_cast<std::uint32_t>(batch.size()),
                      std::memory_order_release);
     }
-    ringDoorbell();
+    ring(tag);
   }
 
   // Same-tag batch straight from a sendMany: wraps each payload in its
@@ -145,45 +136,15 @@ class Mailbox {
       ln.n.fetch_add(static_cast<std::uint32_t>(payloads.size()),
                      std::memory_order_release);
     }
-    ringDoorbell();
+    ring(tag);
   }
 
-  // Dekker-style wakeup shared by deliver/deliverMany: bump seq_, then
-  // check whether the receiver is parked.  Both sides use seq_cst so
-  // either the receiver's re-check of seq_ sees our bump (it never
-  // sleeps), or our load of waiting_ sees its store (we notify).  The
-  // exchange *claims* the doorbell — of N concurrent senders exactly one
-  // pays the cvMx_ section and the notify syscall, the rest see false and
-  // skip both (the receiver re-arms waiting_ before it parks again, so no
-  // wakeup is lost).  The empty cvMx_ critical section closes the window
-  // between the receiver's re-check and its wait; notifying after the
-  // unlock avoids waking a thread straight into a held mutex.  In the
-  // common case (receiver running) a deliver costs no mutex beyond the
-  // lane's.
-  void ringDoorbell() {
-    seq_.fetch_add(1, std::memory_order_seq_cst);
-    if (waiting_.load(std::memory_order_seq_cst) &&
-        waiting_.exchange(false, std::memory_order_seq_cst)) {
-      { std::lock_guard lk(cvMx_); }
-      cv_.notify_one();
-    }
-    // The receiver may be a *fiber* parked on a schedule controller rather
-    // than on cv_ (waiting_ stays false in that mode); cascade the wakeup
-    // through the controller seam.  No-op when none is installed.
-    testing::signalWakeup();
-  }
-
-  // Wake the (possibly parked) receiver without delivering anything, so it
-  // re-checks failure/shutdown state.  Callers must set that state *before*
-  // poking: the receiver checks it before parking, and the seq_ bump here
-  // defeats the park re-check for anyone mid-transition.  Unlike
-  // ringDoorbell this never elides the notify: a failure wakeup must not
-  // depend on a racing deliver having claimed the doorbell first.
-  void poke() {
-    seq_.fetch_add(1, std::memory_order_seq_cst);
-    { std::lock_guard lk(cvMx_); }
-    cv_.notify_one();
-    testing::signalWakeup();  // receiver may be a parked fiber; see deliver()
+  // Wake the receiver if it is parked.  Deliveries ring after the lane
+  // holds the message; failure and shutdown ring after setting their flags
+  // (tag -1), so the receiver's interrupted() check sees them.
+  void ring(int tag) {
+    doorbell_.notify(
+        testing::SchedPoint{testing::SchedOp::MailboxDeliver, owner_, tag});
   }
 
   // Discard all undelivered messages (shutdown teardown).
@@ -205,67 +166,12 @@ class Mailbox {
   std::optional<Envelope> retrieve(int source, int tag,
                                    std::chrono::nanoseconds timeout,
                                    Pred&& interrupted) {
-    if (auto* ctl = testing::onControlledThread()) {
-      // Schedule-explored run: park on the controller with a readiness
-      // predicate instead of the condvar, and burn *virtual* time on
-      // bounded waits (the deadline fires only once no controlled thread
-      // can make progress, so timeout tests cannot flake under host load).
-      const bool bounded = timeout.count() > 0;
-      std::int64_t leftNs = timeout.count();
-      for (;;) {
-        const std::uint64_t v = seq_.load(std::memory_order_acquire);
-        if (auto e = tryTake(source, tag)) return e;
-        if (interrupted()) return std::nullopt;
-        if (bounded && leftNs <= 0) return std::nullopt;
-        const std::int64_t t0 = ctl->nowNs();
-        const bool signalled = ctl->wait(
-            testing::SchedPoint{testing::SchedOp::MailboxRecv, source, tag},
-            [this, v, &interrupted] {
-              return seq_.load(std::memory_order_relaxed) != v || interrupted();
-            },
-            bounded ? leftNs : -1);
-        if (bounded) leftNs -= ctl->nowNs() - t0;
-        if (!signalled) return std::nullopt;
-      }
-    }
-    const bool bounded = timeout.count() > 0;
-    // The deadline clock is read lazily at the first park: the fast path
-    // (message already there, or arriving within the spin budget) never
-    // touches the clock, which is a measurable share of small-message cost.
-    std::chrono::steady_clock::time_point deadline{};
-    bool deadlineSet = false;
-    // Yield-spin budget for this retrieve: burned before the first park
-    // (and not refilled after one — a wait that already needed the condvar
-    // is a long wait, and spinning again would just churn the scheduler).
-    int spins = kRetrieveSpinYields;
-    for (;;) {
-      const std::uint64_t v = seq_.load(std::memory_order_acquire);
-      if (auto e = tryTake(source, tag)) return e;
-      if (interrupted()) return std::nullopt;
-      if (spins > 0) {
-        --spins;
-        std::this_thread::yield();
-        continue;
-      }
-      if (bounded && !deadlineSet) {
-        deadline = std::chrono::steady_clock::now() + timeout;
-        deadlineSet = true;
-      }
-      std::unique_lock lk(cvMx_);
-      waiting_.store(true, std::memory_order_seq_cst);
-      if (seq_.load(std::memory_order_seq_cst) != v) {  // raced: rescan
-        waiting_.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      bool signalled = true;
-      auto changed = [&] { return seq_.load(std::memory_order_relaxed) != v; };
-      if (bounded)
-        signalled = cv_.wait_until(lk, deadline, changed);
-      else
-        cv_.wait(lk, changed);
-      waiting_.store(false, std::memory_order_relaxed);
-      if (!signalled) return std::nullopt;
-    }
+    std::optional<Envelope> e;
+    doorbell_.await(
+        testing::SchedPoint{testing::SchedOp::MailboxRecv, source, tag},
+        [&] { return (e = tryTake(source, tag)).has_value() || interrupted(); },
+        timeout.count() > 0 ? timeout.count() : -1);
+    return e;
   }
 
   std::optional<Envelope> tryTake(int source, int tag) {
@@ -325,9 +231,9 @@ class Mailbox {
     // team otherwise locks p lanes per message, and in a flood all but one
     // are empty — the lock/unlock pair per empty lane was the top line of
     // the flood profile.  A stale zero read cannot lose a message: the
-    // sender bumps the mailbox seq_ (seq_cst) *after* raising the count,
-    // and the retrieve loop re-checks seq_ before parking, so a racing
-    // deliver always forces a rescan that sees the count.
+    // sender rings the doorbell *after* raising the count, and a receiver
+    // re-checks the doorbell epoch before parking, so a racing deliver
+    // always forces a rescan that sees the count.
     std::atomic<std::uint32_t> n{0};
   };
   static constexpr std::size_t kLaneCompact = 256;
@@ -370,18 +276,11 @@ class Mailbox {
                        [&](const Envelope& e) { return tagMatches(tag, e.tag); });
   }
 
+  int owner_;
   int nLanes_;
   std::unique_ptr<Lane[]> lanes_;
   int rr_ = 0;  // wildcard fairness cursor; touched only by the owning rank
-
-  // Wakeup plumbing: seq_ counts deliveries, the single possible waiter
-  // sleeps until it moves.  waiting_ lets senders skip cvMx_ and the
-  // notify syscall entirely when the receiver is not blocked (see
-  // deliver() for the seq_cst handshake that makes this safe).
-  std::atomic<std::uint64_t> seq_{0};
-  std::mutex cvMx_;
-  std::condition_variable cv_;
-  std::atomic<bool> waiting_{false};
+  fiber::EventCount doorbell_{fiber::EventCount::Spin::Yes};
 };
 
 }  // namespace
@@ -404,7 +303,7 @@ class CommState : public Endpoint {
             static_cast<std::size_t>(size))) {
     boxes_.reserve(static_cast<std::size_t>(size));
     for (int r = 0; r < size; ++r)
-      boxes_.push_back(std::make_unique<Mailbox>(size));
+      boxes_.push_back(std::make_unique<Mailbox>(r, size));
     if (plan) {
       plan_ = std::make_unique<FaultPlan>(*plan);
       const auto npairs = static_cast<std::size_t>(size) * static_cast<std::size_t>(size);
@@ -680,10 +579,10 @@ class CommState : public Endpoint {
 
   // Sense-reversing barrier: one fetch_add per arrival; the closer resets
   // the count (before releasing the generation, so re-entry is safe) and
-  // wakes everyone with a single notify on the generation word.  Failure or
-  // shutdown poisons the generation (a kBarrierPoison bump), waking every
-  // waiter to re-check and throw; once any rank has failed the barrier can
-  // never complete, so entry fails fast too.
+  // wakes everyone with a single notify on the barrier's event count.
+  // Failure or shutdown rings the same event count, waking every waiter to
+  // re-check and throw; once any rank has failed the barrier can never
+  // complete, so entry fails fast too.
   void barrier(int rank) {
     checkOp(rank, "barrier");
     if (failedCount() > 0)
@@ -692,38 +591,22 @@ class CommState : public Endpoint {
                           ": cannot complete, a peer rank has failed");
     // Arrival is a schedule point: the explorer controls the order in which
     // ranks enter the barrier (the closer/waiter split is interleaving-
-    // sensitive, e.g. against a racing shutdown's generation poison).
+    // sensitive, e.g. against a racing shutdown).
     testing::schedulePoint(testing::SchedOp::Barrier, rank);
+    const testing::SchedPoint point{testing::SchedOp::Barrier, rank, 0};
     const std::uint64_t gen = gen_.load(std::memory_order_acquire);
     if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == size_) {
       count_.store(0, std::memory_order_relaxed);
       gen_.fetch_add(1, std::memory_order_release);
-      gen_.notify_all();
-      // Waiters may be fibers parked on a schedule controller (they wait
-      // through ctl->wait below, not the atomic); cascade the closure.
-      testing::signalWakeup();
+      barrierBell_.notify(point);
       return;
     }
-    // The wakeup condition must re-check the interrupt flags, not just the
-    // generation word: a shutdown/failure whose poison lands between the
-    // entry gate above and the `gen` snapshot is already folded into `gen`,
-    // so "generation changed" alone would never fire and the waiter would
-    // wedge.  (Found by the schedule explorer's bounded DFS over
-    // shutdown-vs-barrier; see tests/test_sched.cpp.)
-    if (auto* ctl = testing::onControlledThread()) {
-      ctl->wait(testing::SchedPoint{testing::SchedOp::Barrier, rank, 0},
-                [this, gen] {
-                  return gen_.load(std::memory_order_acquire) != gen ||
-                         isShutdown() || failedCount() > 0;
-                },
-                -1);
-    } else {
-      std::uint64_t g = gen;
-      while (g == gen && !isShutdown() && failedCount() == 0) {
-        gen_.wait(g, std::memory_order_acquire);
-        g = gen_.load(std::memory_order_acquire);
-      }
-    }
+    // The wakeup condition re-checks the interrupt flags, not just the
+    // generation word: a shutdown or failure changes no generation.
+    barrierBell_.await(point, [this, gen] {
+      return gen_.load(std::memory_order_acquire) != gen || isShutdown() ||
+             failedCount() > 0;
+    });
     if (isShutdown())
       throw CommError(CommErrorKind::Shutdown,
                       "barrier on rank " + std::to_string(rank) +
@@ -865,13 +748,8 @@ class CommState : public Endpoint {
   // Wake every parked receiver and barrier waiter so they re-check the
   // failure/shutdown flags (set by the caller *before* this runs).
   void wakeAll() {
-    gen_.fetch_add(kBarrierPoison, std::memory_order_release);
-    gen_.notify_all();
-    for (auto& b : boxes_) b->poke();  // poke() cascades via signalWakeup
-    // Barrier waiters parked as fibers re-check isShutdown()/failedCount()
-    // only when the controller re-evaluates their predicate; prod it even
-    // when no mailbox poke was needed.
-    testing::signalWakeup();
+    barrierBell_.notify(testing::SchedPoint{testing::SchedOp::Barrier, -1, 0});
+    for (auto& b : boxes_) b->ring(-1);
   }
 
   int size_;
@@ -883,6 +761,7 @@ class CommState : public Endpoint {
 
   std::atomic<int> count_{0};
   std::atomic<std::uint64_t> gen_{0};
+  fiber::EventCount barrierBell_{fiber::EventCount::Spin::Yes};
 
   // Fault machinery.  plan_/pairSeq_/opCount_ exist only when a FaultPlan
   // was installed; the failure/shutdown flags always exist (failRank() and
@@ -1146,8 +1025,8 @@ namespace {
 // tens of microseconds on a small host — more than an entire 2000-message
 // flood — and benches (and iterative drivers) launch a fresh team per
 // measurement, so per-run thread creation dominated every small-team
-// scenario.  A worker created for one team parks on its condvar when its
-// rank body returns and picks up the next team's body instead of being
+// scenario.  A worker created for one team parks on its event count when
+// its rank body returns and picks up the next team's body instead of being
 // joined and re-created.  Only uncontrolled runs use the pool; explorer
 // (controlled) runs get fresh threads because the controller tracks thread
 // identity across the schedule.  The pool is intentionally leaked: parked
@@ -1182,33 +1061,32 @@ class TeamWorkerPool {
       std::thread([this, &pool] { loop(pool); }).detach();
     }
 
+    // Only a worker popped from free_ (or a new one) is assigned, so the
+    // job slot is never written while the worker reads it.
     void assign(std::function<void()> f) {
-      {
-        std::lock_guard lk(mx);
-        job = std::move(f);
-      }
-      cv.notify_one();
+      job = std::move(f);
+      hasJob.store(true, std::memory_order_release);
+      bell.notify(kPoint);
     }
 
     void loop(TeamWorkerPool& pool) {
-      std::unique_lock lk(mx);
       for (;;) {
-        cv.wait(lk, [this] { return static_cast<bool>(job); });
+        bell.await(kPoint,
+                   [this] { return hasJob.load(std::memory_order_acquire); });
         std::function<void()> f = std::move(job);
         job = nullptr;
-        lk.unlock();
+        hasJob.store(false, std::memory_order_relaxed);
         f();
         f = nullptr;  // drop captured state before offering ourselves again
-        {
-          std::lock_guard plk(pool.mx_);
-          pool.free_.push_back(this);
-        }
-        lk.lock();  // a re-assign racing the repark is caught by the predicate
+        std::lock_guard plk(pool.mx_);
+        pool.free_.push_back(this);
       }
     }
 
-    std::mutex mx;
-    std::condition_variable cv;
+    static constexpr testing::SchedPoint kPoint{testing::SchedOp::ThreadStart,
+                                                -1, 0};
+    fiber::EventCount bell;
+    std::atomic<bool> hasJob{false};
     std::function<void()> job;
   };
 
@@ -1274,7 +1152,7 @@ void runTeam(int nranks, const std::function<void(Comm&)>& body,
     for (auto& t : team) t.join();
   } else {
     // Production path: rank 0 runs on the calling thread and ranks 1..p−1
-    // on pooled workers, so a p-rank team pays for p−1 condvar wakes — and
+    // on pooled workers, so a p-rank team pays for p−1 worker wakes — and
     // thread spawns only the first time a team this wide runs.
     std::atomic<int> pending{nranks - 1};
     auto& pool = TeamWorkerPool::get();

@@ -32,10 +32,7 @@ void PortClient::failAllPending(const std::string& why) {
     brokenWhy_ = why;
     for (auto& [id, p] : pending_) p.done = true;
   }
-  cv_.notify_all();
-  // Callers blocked in await() may be fibers parked on a schedule
-  // controller instead of cv_; cascade the wakeup through the seam.
-  testing::signalWakeup();
+  replies_.notify(testing::SchedPoint{testing::SchedOp::ServeReply, -1, -1});
 }
 
 void PortClient::readLoop() {
@@ -58,8 +55,8 @@ void PortClient::readLoop() {
       it->second.payload = std::move(f->payload);
       it->second.done = true;
     }
-    cv_.notify_all();
-    testing::signalWakeup();  // the awaiting caller may be a parked fiber
+    replies_.notify(
+        testing::SchedPoint{testing::SchedOp::ServeReply, -1, f->tag});
   }
 }
 
@@ -98,27 +95,15 @@ rt::Buffer PortClient::await(Ticket t) {
   if (it == pending_.end())
     throw core::PortError(core::PortErrorKind::Unavailable,
                           "port client: unknown or already-redeemed ticket");
-  if (auto* ctl = testing::onControlledThread()) {
-    // Controlled (explorer or fiber) caller: park through the controller
-    // seam instead of cv_ so a fiber suspends rather than pinning its
-    // worker thread.  The reply arrives on the uncontrolled reader thread,
-    // which cascades via signalWakeup(); `it` stays valid across the
-    // unlock because only this (single) redeemer ever erases the entry.
-    while (!it->second.done) {
-      lk.unlock();
-      ctl->wait(
-          testing::SchedPoint{testing::SchedOp::ServeReply, -1, t.callId},
-          [this, id = t.callId] {
-            std::lock_guard plk(mx_);
-            auto pit = pending_.find(id);
-            return pit == pending_.end() || pit->second.done;
-          },
-          -1);
-      lk.lock();
-    }
-  } else {
-    cv_.wait(lk, [&] { return it->second.done; });
-  }
+  // `it` stays valid across the unlock: only this (single) redeemer ever
+  // erases the entry.
+  lk.unlock();
+  replies_.await(
+      testing::SchedPoint{testing::SchedOp::ServeReply, -1, t.callId}, [&] {
+        std::lock_guard plk(mx_);
+        return it->second.done;
+      });
+  lk.lock();
   if (broken_ && it->second.payload.size() == 0) {
     pending_.erase(it);
     throw core::PortError(core::PortErrorKind::Unavailable,

@@ -60,6 +60,14 @@ class GuardedTarget final : public sidl::reflect::Invocable {
 /// most before answering "no replica available".
 constexpr std::chrono::milliseconds kDrainWait{100};
 
+/// The two PortServer-owned parking edges: a dispatch waiting for any live
+/// replica to reopen, and a worker waiting on the call queue.
+constexpr testing::SchedPoint kAnyReplicaOpen{
+    testing::SchedOp::DrainGate, -1,
+    static_cast<int>(core::DrainTag::AnyReplicaOpen)};
+constexpr testing::SchedPoint kQueueWait{testing::SchedOp::ServeDispatch, -1,
+                                         -1};
+
 /// One provider replica: a serializing channel over the guarded target,
 /// health record, breaker and drain gate.
 struct PortServer::Replica {
@@ -158,10 +166,7 @@ bool PortServer::undrainReplica(const std::string& name) {
   auto r = findReplica(name);
   if (!r) return false;
   r->gate.release();
-  {
-    std::lock_guard lk(drainMx_);  // pairs with awaitDispatchable's check
-  }
-  drainCv_.notify_all();
+  dispatchable_.notify(kAnyReplicaOpen);
   return true;
 }
 
@@ -277,16 +282,12 @@ bool PortServer::allLiveDraining() const {
 }
 
 bool PortServer::awaitDispatchable() {
-  auto ready = [this] {
-    return !allLiveDraining() || stopping_.load(std::memory_order_acquire);
-  };
-  if (auto* c = testing::onControlledThread())
-    return c->wait(
-        testing::SchedPoint{testing::SchedOp::DrainGate, -1,
-                            static_cast<int>(core::DrainTag::AnyReplicaOpen)},
-        ready, std::chrono::nanoseconds(kDrainWait).count());
-  std::unique_lock lk(drainMx_);
-  return drainCv_.wait_for(lk, kDrainWait, ready);
+  return dispatchable_.await(
+      kAnyReplicaOpen,
+      [this] {
+        return !allLiveDraining() || stopping_.load(std::memory_order_acquire);
+      },
+      std::chrono::nanoseconds(kDrainWait).count());
 }
 
 rt::Buffer PortServer::dispatchCall(int callId, rt::Buffer body) {
@@ -617,41 +618,24 @@ void PortServer::readLoop(std::shared_ptr<Conn> conn) {
       std::lock_guard lk(queueMx_);
       queue_.push_back(WorkItem{conn, callId, std::move(body)});
     }
-    queueCv_.notify_one();
-    testing::signalWakeup();  // a worker may be a fiber parked on the queue
+    queued_.notify(kQueueWait);
   }
 }
 
 void PortServer::workerLoop() {
   for (;;) {
     WorkItem item;
-    {
-      std::unique_lock lk(queueMx_);
-      auto ready = [this] {
-        return !queue_.empty() || stopping_.load(std::memory_order_acquire);
-      };
-      if (auto* c = testing::onControlledThread()) {
-        // Controlled (explorer or fiber) worker: park through the
-        // controller seam — never while holding queueMx_, so producers
-        // (reader threads) can keep enqueueing.
-        while (!ready()) {
-          lk.unlock();
-          c->wait(testing::SchedPoint{testing::SchedOp::ServeDispatch, -1, -1},
-                  [this] {
-                    std::lock_guard qlk(queueMx_);
-                    return !queue_.empty() ||
-                           stopping_.load(std::memory_order_acquire);
-                  },
-                  -1);
-          lk.lock();
-        }
-      } else {
-        queueCv_.wait(lk, ready);
+    bool got = false;
+    queued_.await(kQueueWait, [&] {
+      std::lock_guard lk(queueMx_);
+      if (!queue_.empty()) {
+        item = std::move(queue_.front());
+        queue_.pop_front();
+        got = true;
       }
-      if (queue_.empty()) return;  // stopping and drained
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
+      return got || stopping_.load(std::memory_order_acquire);
+    });
+    if (!got) return;  // stopping and drained
     waitIfPaused();
     rt::Buffer response = dispatchCall(item.callId, std::move(item.body));
     served_.fetch_add(1, std::memory_order_relaxed);
@@ -664,12 +648,8 @@ void PortServer::workerLoop() {
 void PortServer::stop() {
   stopping_.store(true, std::memory_order_release);
   resume();  // release any worker parked on the pause gate
-  {
-    std::lock_guard lk(drainMx_);
-  }
-  drainCv_.notify_all();  // release dispatches parked on all-draining
-  queueCv_.notify_all();
-  testing::signalWakeup();  // either kind of waiter may be a parked fiber
+  dispatchable_.notify(kAnyReplicaOpen);  // dispatches parked on all-draining
+  queued_.notify(kQueueWait);
   std::thread acceptor;
   std::vector<std::shared_ptr<Conn>> conns;
   std::vector<std::thread> readers;

@@ -33,6 +33,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "cca/fiber/park.hpp"
+
 namespace cca::testing {
 
 namespace {
@@ -591,6 +593,7 @@ struct ControlledThread::Impl {
   Explorer* ex = nullptr;
   int id = -1;
   std::atomic<bool> finished{false};
+  fiber::EventCount exited;  // a schedule-aware join parks here
 };
 
 ControlledThread::ControlledThread(std::function<void()> fn)
@@ -618,6 +621,7 @@ ControlledThread::ControlledThread(std::function<void()> fn)
       noteControlledFailure(std::current_exception());
     }
     impl->finished.store(true, std::memory_order_release);
+    impl->exited.notify(SchedPoint{SchedOp::ThreadExit, impl->id, 0});
     impl->ex->finish(impl->id);
     detail::tl_registered = false;
   });
@@ -631,12 +635,9 @@ void ControlledThread::join() {
   if (impl_->ex != nullptr && detail::tl_registered &&
       !impl_->finished.load(std::memory_order_acquire)) {
     // Schedule-aware join: park as a waiter instead of blocking the token.
-    impl_->ex->wait(
-        SchedPoint{SchedOp::ThreadExit, impl_->id, 0},
-        [impl = impl_.get()] {
-          return impl->finished.load(std::memory_order_acquire);
-        },
-        -1);
+    impl_->exited.await(SchedPoint{SchedOp::ThreadExit, impl_->id, 0}, [this] {
+      return impl_->finished.load(std::memory_order_acquire);
+    });
   }
   if (thread_.joinable()) thread_.join();
 }

@@ -1,5 +1,5 @@
 // cca::fiber tests (DESIGN.md §10): timer-wheel units, park/unpark and
-// work-stealing scheduler behaviour, Event semantics, and the rank-scaling
+// work-stealing scheduler behaviour, EventCount parking, and the rank-scaling
 // payoff — 1024-rank barrier and allreduce green under ExecKind::Fiber on a
 // handful of cores, kill-rank fault cascades waking every parked fiber.
 //
@@ -12,12 +12,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cca/fiber/context.hpp"
+#include "cca/fiber/park.hpp"
 #include "cca/fiber/sched.hpp"
 #include "cca/fiber/timer_wheel.hpp"
 #include "cca/rt/comm.hpp"
@@ -179,12 +181,36 @@ TEST(FiberSched, RunsEveryFiberExactlyOnce) {
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
+namespace {
+
+/// A one-shot flag over the parking primitive: set() publishes and
+/// notifies, wait() parks on the event count until the flag is up.
+class Flag {
+ public:
+  void set() {
+    on_.store(true, std::memory_order_release);
+    ec_.notify(ct::SchedPoint{});
+  }
+  [[nodiscard]] bool isSet() const {
+    return on_.load(std::memory_order_acquire);
+  }
+  bool wait(std::int64_t timeoutNs = -1) {
+    return ec_.await(ct::SchedPoint{}, [this] { return isSet(); }, timeoutNs);
+  }
+
+ private:
+  std::atomic<bool> on_{false};
+  fib::EventCount ec_;
+};
+
+}  // namespace
+
 TEST(FiberSched, EventChainParksAndCascadesAcrossManyFibers) {
   // Fiber i waits for event i, then sets event i+1: a 400-stage dependency
   // chain on two workers that can only complete through park/unpark (no
   // fiber may hold a worker thread hostage while blocked).
   constexpr int kN = 400;
-  std::vector<fib::Event> ev(kN + 1);
+  std::vector<Flag> ev(kN + 1);
   ev[0].set();
   std::atomic<int> completed{0};
   fib::FiberOptions o;
@@ -202,13 +228,13 @@ TEST(FiberSched, EventChainParksAndCascadesAcrossManyFibers) {
 }
 
 TEST(FiberSched, EventSetFromAnUncontrolledThreadWakesAParkedFiber) {
-  fib::Event go;
-  fib::Event fiberStarted;
+  Flag go;
+  Flag fiberStarted;
   std::atomic<bool> woke{false};
   std::thread outsider([&] {
     fiberStarted.wait();  // plain cv wait: the outsider is uncontrolled
     std::this_thread::sleep_for(1ms);
-    go.set();  // must cascade into the scheduler via signalWakeup()
+    go.set();  // must cascade into the scheduler via the armed notify
   });
   fib::FiberOptions o;
   o.workers = 2;
@@ -231,7 +257,7 @@ TEST(FiberSched, TimedWaitExpiresWithoutASignal) {
   fib::runFibers(
       4,
       [&](int) {
-        fib::Event never;
+        Flag never;
         if (!never.wait(/*timeoutNs=*/5'000'000)) expired.fetch_add(1);
       },
       o);

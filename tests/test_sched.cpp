@@ -486,7 +486,7 @@ void batchOrderBody(Comm& comm) {
 
 /// Two senders flood rank 1 with batches on the same tag.  Cross-source
 /// order is unspecified, but each source's own stream must stay intact —
-/// this is exactly what a shared doorbell claim could break.
+/// this is exactly what a shared doorbell could break.
 void twoSenderBody(Comm& comm) {
   constexpr int kTag = 12;
   constexpr std::uint32_t kEach = 4;
@@ -544,7 +544,7 @@ TEST(Sched, KillMidBatchStillWakesTheTeam) {
     constexpr int kTag = 13;
     if (comm.rank() == 0) {
       // Whether the kill lands before, between, or after these batches is
-      // the interleaving under exploration; the doorbell-claim protocol
+      // the interleaving under exploration; the doorbell protocol
       // must never let a blocked receiver miss the failure poke.
       comm.sendMany(1, kTag, numberedBatch(0, 3));
       comm.failRank(2);
@@ -569,4 +569,40 @@ TEST(Sched, KillMidBatchStillWakesTheTeam) {
     // rank 2 exits immediately (or is killed first) — both are legal.
   });
   EXPECT_FALSE(res.failed) << res.failure.what;
+}
+
+// ---------------------------------------------------------------------------
+// Parking protocol.  Every blocking edge parks on fiber::EventCount, and a
+// controlled waiter waits on the event count's wake token rather than on
+// its own readiness check, so the explorer drives the arm / re-check /
+// disarm steps and the armed notify's preemption point that production
+// threads run.  A wakeup lost between a sender that saw the receiver armed
+// and the receiver's next park surfaces here as a deadlock report.
+// ---------------------------------------------------------------------------
+
+TEST(Sched, ParkManySendersOneReceiverNeverLosesAWakeup) {
+  constexpr int kSenders = 3;
+  constexpr std::uint32_t kEach = 4;
+  constexpr int kTag = 15;
+  constexpr std::uint64_t kRuns = 40;
+  for (std::uint64_t run = 0; run < kRuns; ++run) {
+    const std::uint64_t seed = faultSeed() * 1000 + run;
+    ct::RunOutcome out = ct::runControlled(kSenders + 1, seed, [](Comm& comm) {
+      if (comm.rank() != 0) {
+        for (std::uint32_t i = 0; i < kEach; ++i)
+          comm.sendValue<std::uint32_t>(0, kTag, i);
+        return;
+      }
+      std::array<std::uint32_t, kSenders + 1> next{};
+      for (std::uint32_t i = 0; i < kSenders * kEach; ++i) {
+        auto m = comm.recv(cca::rt::kAnySource, kTag);
+        const auto got = cca::rt::unpack<std::uint32_t>(m.payload);
+        auto& want = next[static_cast<std::size_t>(m.source)];
+        ct::require(got == want, "per-source order broken from rank " +
+                                     std::to_string(m.source));
+        ++want;
+      }
+    });
+    ASSERT_FALSE(out.failed) << "seed " << seed << ": " << out.what;
+  }
 }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstddef>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -579,3 +580,83 @@ TEST(TransportCrossover, SplitChildrenInheritTheCutoff) {
         opts);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Parking: a thread-mode flood of tiny collectives must never stall.  Every
+// allreduce parks and wakes each rank several times, so a lost wakeup in
+// the parking protocol shows up within a few hundred thousand iterations.
+// A watchdog shuts the communicator down after 5 s without progress: a
+// stall fails the test with CommError{Shutdown} instead of hanging ctest.
+// ---------------------------------------------------------------------------
+
+class TransportPark : public ::testing::TestWithParam<int> {};
+
+TEST_P(TransportPark, AllreduceFloodNeverStalls) {
+#ifdef NDEBUG
+  // The flood that stalled the claimed-doorbell protocol in 30 of 30 runs
+  // (10 each at 3, 4 and 8 ranks), always within its first 450k allreduces.
+  constexpr int kIters = 200'000;
+  constexpr int kRepeats = 3;
+#else
+  // Unoptimized builds (the Debug sanitizer and coverage jobs) are 10-30x
+  // slower per allreduce; a tenth of the flood keeps the race detectors on
+  // the parking protocol within the per-test timeout.
+  constexpr int kIters = 60'000;
+  constexpr int kRepeats = 1;
+#endif
+  constexpr auto kStallLimit = std::chrono::seconds{5};
+  const int ranks = GetParam();
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    std::atomic<long> progress{0};
+    std::atomic<bool> finished{false};
+    std::mutex handleMx;
+    std::optional<Comm> handle;  // captured by rank 0 for the watchdog
+    bool stalled = false;
+    std::thread watchdog([&] {
+      long last = -1;
+      auto lastMove = std::chrono::steady_clock::now();
+      while (!finished.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{20});
+        const long now = progress.load(std::memory_order_relaxed);
+        if (now != last) {
+          last = now;
+          lastMove = std::chrono::steady_clock::now();
+        } else if (std::chrono::steady_clock::now() - lastMove > kStallLimit) {
+          std::lock_guard lk(handleMx);
+          if (handle) {
+            stalled = true;
+            handle->shutdown();
+          }
+          return;
+        }
+      }
+    });
+    try {
+      Comm::run(ranks, [&](Comm& c) {
+        if (c.rank() == 0) {
+          std::lock_guard lk(handleMx);
+          handle = c;
+        }
+        for (int i = 0; i < kIters; ++i) {
+          ASSERT_EQ(c.allreduce(1, Sum{}), ranks);
+          if (c.rank() == 0) progress.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    } catch (const CommError& e) {
+      ADD_FAILURE() << "repeat " << rep << " at " << ranks << " ranks: "
+                    << e.what();
+    }
+    finished.store(true, std::memory_order_release);
+    watchdog.join();
+    {
+      std::lock_guard lk(handleMx);
+      handle.reset();
+    }
+    ASSERT_FALSE(stalled) << "no progress for 5 s after "
+                          << progress.load() << " allreduces (repeat " << rep
+                          << ", " << ranks << " ranks)";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(, TransportPark, ::testing::Values(3, 4, 8),
+                         ::testing::PrintToStringParamName());
