@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "esi_sidl.hpp"
@@ -124,12 +126,15 @@ TEST(CsrMatrixTest, GhostCountMatchesPartitionBoundary) {
 // Preconditioners
 // ---------------------------------------------------------------------------
 
+// The kind is a std::string, not a const char*: gtest prints a char pointer
+// with its address, and ctest names parameterized tests by the printed value,
+// so a pointer parameter would give every build different test names.
 class PrecondSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(PrecondSweep, ApplyIsLinearAndNonTrivial) {
-  const auto [kind, p] = GetParam();
-  const std::string kindStr = kind;
+  const std::string kindStr = std::get<0>(GetParam());
+  const int p = std::get<1>(GetParam());
   rt::Comm::run(p, [kindStr](rt::Comm& c) {
     auto A = makePoisson2D(c, 6, 6, 0.2, 1.0);
     auto M = makePreconditioner(kindStr);
@@ -151,7 +156,10 @@ TEST_P(PrecondSweep, ApplyIsLinearAndNonTrivial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, PrecondSweep,
-    ::testing::Combine(::testing::Values("identity", "jacobi", "sor", "ilu0"),
+    ::testing::Combine(::testing::Values(std::string("identity"),
+                                         std::string("jacobi"),
+                                         std::string("sor"),
+                                         std::string("ilu0")),
                        ::testing::Values(1, 2, 4)));
 
 TEST(Preconditioners, JacobiIsExactForDiagonalMatrix) {
@@ -222,6 +230,12 @@ struct SolveSetup {
   const char* precond;  // preconditioner kind
   int ranks;
 };
+
+// Printed value = ctest test name suffix; without this gtest dumps the
+// struct's bytes, pointers included, which differ from run to run.
+void PrintTo(const SolveSetup& s, std::ostream* os) {
+  *os << s.algo << "+" << s.precond << "/" << s.ranks;
+}
 
 SolveReport runSolve(const SolveSetup& s, const CsrMatrix& A,
                      const dist::DistVector<double>& b,
